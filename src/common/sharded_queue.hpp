@@ -21,13 +21,14 @@
 // globally FIFO across producers (MpmcQueue was not usefully FIFO across
 // racing producers either: the interleaving was arbitrary).
 //
-// Wakeups avoid the shared condition variable entirely while consumers are
-// busy: a push only touches the cv mutex when the sleeper count says someone
-// is actually parked, so uncontended producers stay shard-local. The
-// generation/sleeper handshake below (seq_cst on both sides) is the classic
-// store-buffer pairing: a consumer registers as a sleeper before re-checking
-// the generation, a producer bumps the generation before checking sleepers —
-// at least one side always observes the other, so no wakeup is lost.
+// An idle consumer pause-spins on the atomic depth counter (no shard locks,
+// no syscalls) for SpinWait's pause budget, then parks on a
+// common::EventCount. A push only touches the EventCount when its waiter
+// count says someone is actually parked, so producers feeding busy
+// consumers stay shard-local. The depth bump (a seq_cst RMW) and the
+// consumer's registration → depth re-check are the classic store-buffer
+// pairing: at least one side always observes the other, so no wakeup is
+// lost.
 //
 // Each queue keeps relaxed-atomic counters (pushes, batches, pops, steals,
 // lock collisions, max depth) so executors can expose their fan-in behaviour
@@ -40,7 +41,6 @@
 // racing with its destruction was already undefined before this change.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -50,6 +50,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/event_count.hpp"
 #include "common/ring_buffer.hpp"
 
 #if defined(__linux__)
@@ -162,7 +163,7 @@ class ShardedMpmcQueue {
       }
       s.items.push_back(std::move(item));
       note_depth(s.items.size());
-      size_.fetch_add(1, std::memory_order_release);
+      size_.fetch_add(1, std::memory_order_seq_cst);  // pairs with pop()
       pushes_.fetch_add(1, std::memory_order_relaxed);
     }
     wake(false);
@@ -192,7 +193,7 @@ class ShardedMpmcQueue {
         s.items.push_back(std::move(item));
       }
       note_depth(s.items.size());
-      size_.fetch_add(items.size(), std::memory_order_release);
+      size_.fetch_add(items.size(), std::memory_order_seq_cst);
       batch_pushes_.fetch_add(1, std::memory_order_relaxed);
       batch_items_.fetch_add(items.size(), std::memory_order_relaxed);
     }
@@ -212,7 +213,7 @@ class ShardedMpmcQueue {
       if (closed_.load(std::memory_order_acquire)) return false;
       s.items.push_back(std::move(item));
       note_depth(s.items.size());
-      size_.fetch_add(1, std::memory_order_release);
+      size_.fetch_add(1, std::memory_order_seq_cst);  // pairs with pop()
       pushes_.fetch_add(1, std::memory_order_relaxed);
     }
     wake(false);
@@ -242,7 +243,7 @@ class ShardedMpmcQueue {
         s.items.push_back(std::move(item));
       }
       note_depth(s.items.size());
-      size_.fetch_add(items.size(), std::memory_order_release);
+      size_.fetch_add(items.size(), std::memory_order_seq_cst);
       batch_pushes_.fetch_add(1, std::memory_order_relaxed);
       batch_items_.fetch_add(items.size(), std::memory_order_relaxed);
     }
@@ -256,18 +257,7 @@ class ShardedMpmcQueue {
   std::optional<T> pop() { return pop(home_shard()); }
 
   std::optional<T> pop(std::size_t home) {
-    // Yield-scan briefly before parking: in back-to-back dispatch the next
-    // item typically lands within a scheduler quantum of the previous pop.
-    // Catching it here keeps this consumer off the sleeper list, which in
-    // turn keeps the producer's wake() on its syscall-free path — in steady
-    // state neither side touches the condvar or its mutex.
-    for (int i = 0; i < kSpinScans; ++i) {
-      if (auto item = scan(home)) return item;
-      if (closed_.load(std::memory_order_acquire)) break;
-      std::this_thread::yield();
-    }
     for (;;) {
-      const std::uint64_t gen = gen_.load();  // seq_cst: pairs with wake()
       if (auto item = scan(home)) return item;
       if (closed_.load(std::memory_order_acquire)) {
         // All pre-close pushes are visible once closed_ reads true (the
@@ -276,41 +266,27 @@ class ShardedMpmcQueue {
         if (auto item = scan(home)) return item;
         return std::nullopt;
       }
-      SleeperGuard sleeper(sleepers_);
-      std::unique_lock lk(cv_mu_);
-      cv_.wait(lk, [&] {
-        return closed_.load(std::memory_order_relaxed) ||
-               gen_.load(std::memory_order_relaxed) != gen;
-      });
+      // In back-to-back dispatch the next item typically lands within a
+      // couple of microseconds of the previous pop. Watch the depth
+      // counter for that long (one shared cache line, no shard locks),
+      // then park.
+      for (SpinWait spin; idle();) {
+        if (!spin.spin_pause()) break;
+      }
+      if (!idle()) continue;
+      const auto key = idle_.prepare_wait();
+      if (size_.load(std::memory_order_seq_cst) != 0 ||
+          closed_.load(std::memory_order_seq_cst)) {
+        idle_.cancel_wait();
+        continue;
+      }
+      idle_.commit_wait(key);
     }
   }
 
   /// Non-blocking pop; nullopt when every shard is empty.
   std::optional<T> try_pop() { return try_pop(home_shard()); }
   std::optional<T> try_pop(std::size_t home) { return scan(home); }
-
-  /// Block up to `timeout`; nullopt on timeout or closed-and-empty.
-  template <class Rep, class Period>
-  std::optional<T> pop_for(std::chrono::duration<Rep, Period> timeout) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    const std::size_t home = home_shard();
-    for (;;) {
-      const std::uint64_t gen = gen_.load();  // seq_cst: pairs with wake()
-      if (auto item = scan(home)) return item;
-      if (closed_.load(std::memory_order_acquire)) {
-        if (auto item = scan(home)) return item;
-        return std::nullopt;
-      }
-      SleeperGuard sleeper(sleepers_);
-      std::unique_lock lk(cv_mu_);
-      if (!cv_.wait_until(lk, deadline, [&] {
-            return closed_.load(std::memory_order_relaxed) ||
-                   gen_.load(std::memory_order_relaxed) != gen;
-          })) {
-        return std::nullopt;
-      }
-    }
-  }
 
   /// Close the queue: pending items remain poppable, new pushes (and whole
   /// batches) are refused, blocked consumers wake once the queue drains.
@@ -324,7 +300,7 @@ class ShardedMpmcQueue {
     for (auto& s : shards_) locks.emplace_back(s->mu);
     closed_.store(true, std::memory_order_release);
     locks.clear();
-    wake(true);
+    idle_.notify_all();  // unconditional: closed_ was not an RMW
   }
 
   [[nodiscard]] bool closed() const noexcept {
@@ -352,10 +328,6 @@ class ShardedMpmcQueue {
 
  private:
   static constexpr std::size_t kMaxShards = 64;
-  /// Bounded pre-park yield-scan attempts in pop(). Small enough that an
-  /// idle consumer reaches the condvar within ~a few scheduler quanta.
-  static constexpr int kSpinScans = 32;
-
   struct Shard {
     std::mutex mu;
     // RingBuffer, not std::deque: a deque allocates/frees ~512 B chunks as
@@ -401,46 +373,29 @@ class ShardedMpmcQueue {
     }
   }
 
-  /// RAII sleeper registration for the store-buffer handshake with wake().
-  class SleeperGuard {
-   public:
-    explicit SleeperGuard(std::atomic<std::size_t>& count) : count_(count) {
-      count_.fetch_add(1);  // seq_cst
-    }
-    ~SleeperGuard() { count_.fetch_sub(1); }
-    SleeperGuard(const SleeperGuard&) = delete;
-    SleeperGuard& operator=(const SleeperGuard&) = delete;
+  /// Nothing to pop and nothing to shut down: keep waiting.
+  bool idle() const noexcept {
+    return size_.load(std::memory_order_relaxed) == 0 &&
+           !closed_.load(std::memory_order_relaxed);
+  }
 
-   private:
-    std::atomic<std::size_t>& count_;
-  };
-
-  /// Bump the wake generation; notify only when a consumer is parked.
-  /// Seq_cst ordering (gen bump, then sleeper read) against pop()'s
-  /// (sleeper registration, then gen re-read) guarantees at least one side
-  /// sees the other: either the consumer's wait predicate observes the new
-  /// generation and never sleeps, or this producer observes the sleeper and
-  /// notifies. The notification itself is taken under cv_mu_, which a
-  /// parked consumer holds until it is genuinely waiting — so the notify
-  /// cannot fire into the gap between predicate check and sleep.
+  /// Wake parked consumers, if any. The depth bump before this call was a
+  /// seq_cst RMW and pop() re-checks the depth with a seq_cst load after
+  /// registering as a waiter, so skipping the notify when no waiter is
+  /// registered cannot strand an item.
   void wake(bool all) {
-    gen_.fetch_add(1);  // seq_cst
-    if (sleepers_.load() == 0) return;
-    std::scoped_lock lk(cv_mu_);
+    if (!idle_.has_waiters()) return;
     if (all) {
-      cv_.notify_all();
+      idle_.notify_all();
     } else {
-      cv_.notify_one();
+      idle_.notify_one();
     }
   }
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t mask_ = 0;
 
-  std::mutex cv_mu_;
-  std::condition_variable cv_;
-  std::atomic<std::uint64_t> gen_{0};
-  std::atomic<std::size_t> sleepers_{0};
+  EventCount idle_;
   std::atomic<bool> closed_{false};
   std::atomic<bool> cpu_home_{false};
   std::atomic<std::size_t> size_{0};

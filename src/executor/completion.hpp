@@ -42,15 +42,24 @@ class CompletionState {
   static CompletionRef make();
 
   /// Mark successful completion and wake all waiters.
+  ///
+  /// The store is seq_cst, not release, because of how notify_all() skips
+  /// its syscall: libstdc++ first loads a waiter count that wait()
+  /// increments (seq_cst RMW) before its last check of the word. With a
+  /// release store, x86 may satisfy that load while the store still sits
+  /// in the store buffer: the notifier reads "no waiters", the joiner
+  /// reads kPending, and the joiner sleeps on a completed block forever.
+  /// A seq_cst store (XCHG) drains the buffer first, so one side always
+  /// sees the other.
   void set_done() {
-    phase_.store(kDone, std::memory_order_release);
+    phase_.store(kDone, std::memory_order_seq_cst);
     phase_.notify_all();
   }
 
   /// Mark failed completion; the exception is rethrown at join points.
   void set_exception(std::exception_ptr ep) {
-    error_ = std::move(ep);  // published by the release store below
-    phase_.store(kError, std::memory_order_release);
+    error_ = std::move(ep);  // published by the store below
+    phase_.store(kError, std::memory_order_seq_cst);  // see set_done()
     phase_.notify_all();
   }
 

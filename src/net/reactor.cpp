@@ -263,10 +263,10 @@ void Reactor::run() {
       auto* handler = static_cast<FdHandler*>(events[i].data.ptr);
       const std::uint32_t ev = events[i].events;
       if ((ev & (EPOLLERR | EPOLLHUP)) != 0) {
-        handler->on_error();
+        handler->on_error(ev);
         continue;
       }
-      if ((ev & (EPOLLIN | EPOLLRDHUP)) != 0) handler->on_readable();
+      if ((ev & (EPOLLIN | EPOLLRDHUP)) != 0) handler->on_readable(ev);
       if ((ev & EPOLLOUT) != 0) handler->on_writable();
     }
   }

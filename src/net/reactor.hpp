@@ -62,11 +62,15 @@ class Reactor final : public exec::Executor {
   class FdHandler {
    public:
     virtual ~FdHandler() = default;
-    virtual void on_readable() = 0;
+    /// `events` is the epoll mask that fired. A reader that got a short
+    /// read may stop there (the next byte raises a new edge) unless the
+    /// mask carries EPOLLRDHUP: a FIN that arrived in the same edge raises
+    /// no further one, so only reading on to EOF observes it.
+    virtual void on_readable(std::uint32_t events) = 0;
     virtual void on_writable() {}
     /// EPOLLERR/EPOLLHUP. Default: treat as readable so the owner observes
     /// the error/EOF from the next read().
-    virtual void on_error() { on_readable(); }
+    virtual void on_error(std::uint32_t events) { on_readable(events); }
   };
 
   explicit Reactor(std::string name = "reactor");

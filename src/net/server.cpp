@@ -1,9 +1,11 @@
 #include "net/server.hpp"
 
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <memory>
 #include <system_error>
 #include <utility>
 
@@ -16,6 +18,16 @@ namespace evmp::net {
 
 namespace {
 constexpr std::size_t kReadChunk = 16 * 1024;
+
+/// Reactor-thread scratch that every connection reads into before
+/// appending the bytes it got to its own buffer. Growing in_buf by a whole
+/// chunk per read() instead would zero-fill 16 KiB each time
+/// (vector::resize value-initialises) to keep a few dozen bytes.
+std::uint8_t* read_chunk() {
+  thread_local const std::unique_ptr<std::uint8_t[]> chunk =
+      std::make_unique_for_overwrite<std::uint8_t[]>(kReadChunk);
+  return chunk.get();
+}
 }  // namespace
 
 // Per-connection state. Lives in Server::conns_ and is touched only on the
@@ -29,24 +41,28 @@ struct Connection : Reactor::FdHandler {
         fd(std::move(socket)),
         last_activity(common::now()) {}
 
-  void on_readable() override { read_ready(); }
+  void on_readable(std::uint32_t events) override { read_ready(events); }
   void on_writable() override { flush(); }
 
   // --- read side --------------------------------------------------------
-  void read_ready() {
+  void read_ready(std::uint32_t events) {
     if (closed) return;
+    // Edge-triggered: a short read drained the socket, and the next byte
+    // raises a new edge, so the read() that would only return EAGAIN is
+    // skipped. A FIN (or error) reported in this edge raises no further
+    // one, so then read on until EOF.
+    const bool to_eof = (events & (EPOLLRDHUP | EPOLLHUP | EPOLLERR)) != 0;
+    std::uint8_t* chunk = read_chunk();
     for (;;) {
-      const std::size_t old = in_buf.size();
-      in_buf.resize(old + kReadChunk);
-      const ssize_t n = ::read(fd.get(), in_buf.data() + old, kReadChunk);
+      const ssize_t n = ::read(fd.get(), chunk, kReadChunk);
       if (n > 0) {
-        in_buf.resize(old + static_cast<std::size_t>(n));
+        in_buf.insert(in_buf.end(), chunk, chunk + n);
         srv.stats_.bytes_received.fetch_add(static_cast<std::uint64_t>(n),
                                             std::memory_order_relaxed);
         last_activity = common::now();
-        continue;  // edge-triggered: drain until EAGAIN or EOF
+        if (static_cast<std::size_t>(n) < kReadChunk && !to_eof) break;
+        continue;
       }
-      in_buf.resize(old);
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
       if (n < 0 && errno == EINTR) continue;
       // EOF or hard error: stop reading; finish writing what we owe, then
@@ -164,7 +180,7 @@ class Server::Acceptor : public Reactor::FdHandler {
  public:
   explicit Acceptor(Server& server) : srv_(server) {}
 
-  void on_readable() override {
+  void on_readable(std::uint32_t /*events*/) override {
     for (;;) {
       if (srv_.cfg_.max_connections != 0 &&
           srv_.conns_.size() >= srv_.cfg_.max_connections) {
@@ -385,7 +401,7 @@ void Server::maybe_open_accept_gate() {
     accepting_ = true;
     // Edge-triggered: connections that queued while gated predate the
     // re-add, so harvest them explicitly rather than waiting for an edge.
-    acceptor_->on_readable();
+    acceptor_->on_readable(EPOLLIN);
   }
 }
 

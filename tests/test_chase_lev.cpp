@@ -250,5 +250,43 @@ TEST(EventCount, NotifyAllReleasesEveryWaiter) {
   EXPECT_EQ(woken.load(), kWaiters);
 }
 
+TEST(EventCount, NotifyOneReleasesExactlyOneParkedWaiter) {
+  // notify_one() must wake one parked waiter, not all of them. A 64-bit
+  // epoch word waits through libstdc++'s shared proxy, which widens every
+  // notify_one() into notify_all() and released all four here.
+  constexpr int kWaiters = 4;
+  EventCount ec;
+  std::atomic<int> prepared{0};
+  std::atomic<int> woken{0};
+  std::vector<std::thread> waiters;
+  waiters.reserve(kWaiters);
+  for (int i = 0; i < kWaiters; ++i) {
+    waiters.emplace_back([&] {
+      const auto key = ec.prepare_wait();
+      prepared.fetch_add(1);
+      ec.commit_wait(key);
+      woken.fetch_add(1);
+    });
+  }
+  while (prepared.load() < kWaiters) std::this_thread::yield();
+  // Let every waiter get past its spin and into the kernel.
+  std::this_thread::sleep_for(std::chrono::milliseconds{100});
+  ASSERT_EQ(woken.load(), 0);
+
+  ec.notify_one();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds{100};
+  while (woken.load() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  // Give any over-woken waiter the same 100 ms to show up.
+  std::this_thread::sleep_for(std::chrono::milliseconds{100});
+  EXPECT_EQ(woken.load(), 1);
+
+  ec.notify_all();
+  for (auto& t : waiters) t.join();
+  EXPECT_EQ(woken.load(), kWaiters);
+}
+
 }  // namespace
 }  // namespace evmp::common

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -258,16 +260,51 @@ TEST(ShardedMpmcQueue, PopBlocksUntilPush) {
   EXPECT_EQ(*v, 42);
 }
 
-TEST(ShardedMpmcQueue, PopForTimesOutAndDelivers) {
+TEST(ShardedMpmcQueue, ParkedConsumersWakeForPushesAndClose) {
+  // K consumers outlast the pop() spin budget (microseconds) and park.
+  // K pushes from another thread must deliver exactly K items, and
+  // close() must then wake every consumer parked again, each returning
+  // nullopt. A lost wakeup leaves a consumer asleep and the joins hang
+  // (ctest TIMEOUT backstop).
+  constexpr int kConsumers = 4;
   ShardedMpmcQueue<int> q(2);
-  EXPECT_FALSE(q.pop_for(std::chrono::milliseconds{5}).has_value());
-  std::jthread producer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds{5});
-    q.push(7);
-  });
-  const auto v = q.pop_for(std::chrono::seconds{5});
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7);
+  std::mutex seen_mu;
+  std::multiset<int> seen;
+  std::atomic<int> finished{0};
+  {
+    std::vector<std::jthread> consumers;
+    for (int c = 0; c < kConsumers; ++c) {
+      consumers.emplace_back([&] {
+        while (auto v = q.pop()) {
+          std::scoped_lock lk(seen_mu);
+          seen.insert(*v);
+        }
+        finished.fetch_add(1);
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds{50});
+    std::jthread producer([&q] {
+      for (int i = 0; i < kConsumers; ++i) EXPECT_TRUE(q.push(i));
+    });
+    producer.join();
+    for (int i = 0; i < 500; ++i) {
+      {
+        std::scoped_lock lk(seen_mu);
+        if (seen.size() == static_cast<std::size_t>(kConsumers)) break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds{2});
+    }
+    {
+      std::scoped_lock lk(seen_mu);
+      EXPECT_EQ(seen, (std::multiset<int>{0, 1, 2, 3}));
+    }
+    // Every consumer is back in pop(), parked again on the empty queue.
+    std::this_thread::sleep_for(std::chrono::milliseconds{50});
+    EXPECT_EQ(finished.load(), 0);
+    q.close();
+  }
+  EXPECT_EQ(finished.load(), kConsumers);
+  EXPECT_EQ(q.stats().pops, static_cast<std::uint64_t>(kConsumers));
 }
 
 TEST(ShardedMpmcQueue, StressEveryItemDeliveredOnce) {

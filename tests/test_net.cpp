@@ -12,11 +12,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/sharded_queue.hpp"
+#include "common/sync.hpp"
 #include "core/runtime.hpp"
 #include "executor/thread_pool_executor.hpp"
 #include "net/http.hpp"
@@ -96,9 +98,9 @@ bool read_responses(int fd, std::size_t want, std::vector<OwnedResponse>* out,
   return true;
 }
 
-/// Wait (polling) until read() returns EOF on `fd`.
-bool read_eof(int fd) {
-  for (int i = 0; i < 1000; ++i) {
+/// Wait (polling, up to `polls` × 100 ms) until read() returns EOF on `fd`.
+bool read_eof(int fd, int polls = 1000) {
+  for (int i = 0; i < polls; ++i) {
     std::uint8_t chunk[4096];
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n == 0) return true;
@@ -417,6 +419,46 @@ TEST_F(NetServerTest, EofAfterRequestStillGetsResponseThenClose) {
   ASSERT_TRUE(read_responses(fd.get(), 1, &responses));
   EXPECT_EQ(responses[0].status, kStatusOk);
   EXPECT_TRUE(read_eof(fd.get()));
+}
+
+TEST_F(NetServerTest, RequestAndFinInOneEdgeGetResponseThenClose) {
+  // The request and the client's FIN both reach the server socket while
+  // the reactor is held in a posted task, so epoll reports them in one
+  // edge (EPOLLIN | EPOLLRDHUP). The first read() is short; the FIN is
+  // only observed by reading on to EOF, and no later edge would report
+  // it. The server must answer the request and then close.
+  start({});
+  Fd fd = connect_ready(server_->port());
+  for (int i = 0; i < 2500; ++i) {
+    if (server_->stats().connections_accepted != 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(server_->stats().connections_accepted, 1u);
+  // Accepted means registered: the latch task runs after the accept batch.
+  auto held = std::make_shared<common::CountdownLatch>(1);
+  auto release = std::make_shared<common::CountdownLatch>(1);
+  struct Releaser {  // frees the reactor on every exit, failed asserts too
+    std::shared_ptr<common::CountdownLatch> latch;
+    ~Releaser() { latch->count_down(); }
+  } releaser{release};
+  server_->reactor().post(exec::Task([held, release] {
+    held->count_down();
+    release->wait();
+  }));
+  ASSERT_TRUE(held->wait_for(std::chrono::seconds(5)));
+  const std::vector<std::uint8_t> payload{4, 5, 6};
+  std::vector<std::uint8_t> wire;
+  encode_http_request(wire, 9, payload);
+  send_all(fd.get(), wire);
+  ASSERT_EQ(::shutdown(fd.get(), SHUT_WR), 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  release->count_down();
+  std::vector<OwnedResponse> responses;
+  ASSERT_TRUE(read_responses(fd.get(), 1, &responses));
+  EXPECT_EQ(responses[0].id, 9u);
+  EXPECT_EQ(responses[0].status, kStatusOk);
+  EXPECT_TRUE(read_eof(fd.get(), 50));
+  EXPECT_EQ(server_->stats().requests_received, 1u);
 }
 
 TEST_F(NetServerTest, ConnectionCloseIsHonored) {
